@@ -217,9 +217,15 @@ impl StoreClient {
 
     /// GET: returns the value of `key`.
     pub fn get(&mut self, key: &Key) -> StoreResult<Value> {
-        let invoke = self.cluster.now_ns();
+        let clock = self.cluster.clock().clone();
+        // Registered with the clock for the whole call, `invoke` and `ret` included: a
+        // virtual clock must not jump while this thread sits between sends and waits, or
+        // while it hashes and records a (possibly large) value. A jump there would charge
+        // other participants' progress to this operation's interval.
+        let _participant = clock.enter();
+        let invoke = clock.now_ns();
         let (value, one_phase) = self.run_operation(key, OpKind::Get, None)?;
-        let ret = self.cluster.now_ns();
+        let ret = clock.now_ns();
         self.stats.gets += 1;
         if one_phase {
             self.stats.one_phase_gets += 1;
@@ -236,10 +242,13 @@ impl StoreClient {
 
     /// PUT: overwrites the value of `key`.
     pub fn put(&mut self, key: &Key, value: Value) -> StoreResult<()> {
-        let invoke = self.cluster.now_ns();
+        let clock = self.cluster.clock().clone();
+        // Registered for the whole call, as in `get`.
+        let _participant = clock.enter();
+        let invoke = clock.now_ns();
         let fp = fingerprint(value.as_bytes());
         self.run_operation(key, OpKind::Put, Some(value))?;
-        let ret = self.cluster.now_ns();
+        let ret = clock.now_ns();
         self.stats.puts += 1;
         self.cluster
             .recorder
@@ -378,6 +387,7 @@ impl StoreClient {
 
     /// Runs one GET/PUT to completion, handling reconfiguration redirects and timeouts.
     /// Returns the value read (GETs) or the value written (PUTs) plus the one-phase flag.
+    /// The caller holds a [`Clock::enter`](crate::clock::Clock::enter) guard throughout.
     ///
     /// Telemetry wrapper: when observability is on, the whole operation is covered by an
     /// [`OpSpan`] (phase starts, replies with their service/network split, retries), the
@@ -444,9 +454,6 @@ impl StoreClient {
         let max_attempts = self.cluster.options.max_attempts.max(1);
         let mut last_error = StoreError::QuorumTimeout { needed: 0, received: 0 };
         let clock = self.cluster.clock().clone();
-        // Register with the clock for the whole operation: a virtual clock must not jump
-        // ahead while this thread is between sends and waits.
-        let _participant = clock.enter();
         // One state machine for the whole operation. A timed-out attempt *resumes* it
         // (§4.5: re-send the current phase to every placement DC) rather than restarting:
         // a restarted PUT whose writes already landed somewhere would install the same
@@ -940,6 +947,41 @@ mod tests {
         assert!(matches!(get, Err(StoreError::QuorumUnreachable { .. })), "{get:?}");
         assert!(client.stats().timeout_restarts >= 2, "{:?}", client.stats());
         cluster.shutdown();
+    }
+
+    #[test]
+    fn a_ticking_participant_does_not_stretch_operations() {
+        // Hashing a multi-MiB value takes real time. A participant that ticks the virtual
+        // clock meanwhile must not move the recorded `invoke`/`ret` of the operations.
+        let value = Value::from(vec![7u8; 8 << 20]);
+        let intervals = |with_ticker: bool| -> Vec<u64> {
+            let cluster = fast_cluster();
+            let key = Key::from("big");
+            let mut client = cluster.client(GcpLocation::Tokyo.dc());
+            client.create(&key, Value::from("0")).unwrap();
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let ticker = with_ticker.then(|| {
+                let (clock, stop) = (cluster.options().clock.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    let _guard = clock.enter();
+                    while !stop.load(Ordering::Relaxed) {
+                        clock.sleep(Duration::from_millis(1));
+                    }
+                })
+            });
+            client.put(&key, value.clone()).unwrap();
+            assert_eq!(client.get(&key).unwrap(), value);
+            stop.store(true, Ordering::Relaxed);
+            if let Some(ticker) = ticker {
+                ticker.join().unwrap();
+            }
+            let history = cluster.recorder().history("big").unwrap();
+            cluster.shutdown();
+            history.operations.iter().map(|op| op.ret - op.invoke).collect()
+        };
+        let solo = intervals(false);
+        assert_eq!(solo.len(), 2);
+        assert_eq!(intervals(true), solo);
     }
 
     #[test]

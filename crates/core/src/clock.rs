@@ -13,13 +13,34 @@
 //!   clock tracks every participant (server threads, clients inside an operation, the
 //!   reconfiguration controller) plus every message still in flight between them, and
 //!   when *all* participants are quiescent it jumps straight to the next scheduled
-//!   wake-up instant, waking the threads whose deadline arrived (coordinated via a
-//!   condvar). Modeled multi-second RTT waits collapse to microseconds of real time
-//!   while preserving the arrival *order* and the relative timestamps of every event,
-//!   so latency accounting and linearizability histories come out the same — and
-//!   scheduler jitter no longer leaks into `now_ns`, which makes sequential workloads
-//!   byte-for-byte reproducible (concurrent client threads can still race for the
-//!   order in which servers see their requests).
+//!   wake-up instant, waking the threads whose deadline arrived. Modeled multi-second
+//!   RTT waits collapse to microseconds of real time while preserving the arrival
+//!   *order* and the relative timestamps of every event, so latency accounting and
+//!   linearizability histories come out the same — and scheduler jitter no longer leaks
+//!   into `now_ns`, which makes sequential workloads byte-for-byte reproducible
+//!   (concurrent client threads can still race for the order in which servers see their
+//!   requests).
+//!
+//! # Wake-ups on a virtual clock
+//!
+//! All virtual-clock state sits behind one mutex, and every blocked thread waits on a
+//! condvar of its own paired with that mutex: a clocked channel receiver's signal
+//! (shared with the channel's senders) or a fresh signal per bare sleep. The rule: every
+//! change to a waiter's wake condition notifies exactly that waiter, under the lock.
+//!
+//! * A send notifies its channel's receiver, and so does dropping the channel's last
+//!   sender (the receiver then reports the disconnect).
+//! * A waiter with a deadline files its signal under that instant, and a time jump
+//!   notifies only the signals filed under the instant it jumps to. Jumps go to the
+//!   earliest filed instant, so no deadline is ever skipped.
+//! * A thread parked in a receive without a deadline (a server thread) files nothing:
+//!   only a message, or the disconnect, wakes it.
+//!
+//! A message therefore wakes one thread, not every parked one. The caveat is on the
+//! caller's side: a thread outside a [`Clock::enter`] guard is invisible, and the clock
+//! may jump past it at any moment. A client therefore holds one guard for a whole GET or
+//! PUT, so the `invoke` and `ret` it records (and the hashing and recording around them)
+//! lie inside it and no other participant's progress is charged to the operation.
 //!
 //! # Example: a virtual-time cluster in a few lines
 //!
@@ -44,6 +65,7 @@
 use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -215,9 +237,16 @@ impl Clock {
     /// clock counts every undelivered message as in-flight and refuses to advance past it.
     pub(crate) fn channel<T>(&self) -> (ClockedSender<T>, ClockedReceiver<T>) {
         let (tx, rx) = crossbeam::channel::unbounded();
+        let link = self.virtual_clock().map(|v| {
+            Arc::new(Link {
+                clock: v.clone(),
+                signal: Arc::new(Condvar::new()),
+                senders: AtomicUsize::new(1),
+            })
+        });
         (
-            ClockedSender { tx, clock: self.clone() },
-            ClockedReceiver { rx: Some(rx), clock: self.clone() },
+            ClockedSender { tx, link: link.clone() },
+            ClockedReceiver { rx: Some(rx), link, clock: self.clone() },
         )
     }
 
@@ -244,22 +273,55 @@ impl Drop for ClockGuard {
             let mut s = v.lock();
             s.busy -= 1;
             change_thread_depth(v, -1);
-            v.advance_if_quiescent(&mut s);
+            s.advance_if_quiescent();
         }
     }
+}
+
+/// A waiter's wake-up signal on a virtual clock: a condvar always paired with that
+/// clock's mutex.
+type Signal = Arc<Condvar>;
+
+/// What a virtual-clock channel's senders share with its receiver.
+struct Link {
+    clock: Arc<VirtualClock>,
+    /// The receiver's signal: notified by every send and by the last sender's drop.
+    signal: Signal,
+    /// Live senders. Zero disconnects the receiver: no message can arrive any more.
+    senders: AtomicUsize,
 }
 
 /// The sending half of a clock-aware channel ([`Clock::channel`]).
 pub(crate) struct ClockedSender<T> {
     tx: Sender<T>,
-    clock: Clock,
+    /// `None` on a real clock.
+    link: Option<Arc<Link>>,
 }
 
 impl<T> Clone for ClockedSender<T> {
     fn clone(&self) -> Self {
+        if let Some(link) = &self.link {
+            // Relaxed is enough: cloning needs a live sender, so the count cannot reach
+            // zero meanwhile (the argument `Arc`'s own increment rests on).
+            link.senders.fetch_add(1, Ordering::Relaxed);
+        }
         ClockedSender {
             tx: self.tx.clone(),
-            clock: self.clock.clone(),
+            link: self.link.clone(),
+        }
+    }
+}
+
+impl<T> Drop for ClockedSender<T> {
+    fn drop(&mut self) {
+        if let Some(link) = &self.link {
+            if link.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // The last sender: a receiver parked on the empty channel must wake to
+                // report the disconnect. It reads the count under the lock before it
+                // parks, so notifying under the lock cannot fall between the two.
+                let _s = link.clock.lock();
+                link.signal.notify_one();
+            }
         }
     }
 }
@@ -270,13 +332,13 @@ impl<T> ClockedSender<T> {
     /// clock lock so a waiting receiver can never observe the notification without the
     /// message.
     pub(crate) fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        match self.clock.virtual_clock() {
+        match &self.link {
             None => self.tx.send(msg),
-            Some(v) => {
-                let mut s = v.lock();
+            Some(link) => {
+                let mut s = link.clock.lock();
                 self.tx.send(msg)?;
                 s.in_flight += 1;
-                v.cond.notify_all();
+                link.signal.notify_one();
                 Ok(())
             }
         }
@@ -287,11 +349,14 @@ impl<T> ClockedSender<T> {
 ///
 /// Dropping the receiver drains and un-counts any messages still queued, so replies that
 /// arrive after a client loses interest (e.g. a timed-out attempt) cannot wedge the
-/// virtual clock.
+/// virtual clock. Not `Sync` (nor is the channel receiver inside), so at most one thread
+/// waits on its signal at a time: one notification always reaches the right waiter.
 pub(crate) struct ClockedReceiver<T> {
     /// `Some` until dropped; the receiver is destroyed *inside* the clock lock so no send
     /// can slip between the final drain and the disconnect.
     rx: Option<Receiver<T>>,
+    /// `None` on a real clock.
+    link: Option<Arc<Link>>,
     clock: Clock,
 }
 
@@ -300,44 +365,52 @@ impl<T> ClockedReceiver<T> {
         self.rx.as_ref().expect("receiver present until drop")
     }
 
+    /// Takes the next queued message under the virtual clock's lock. An empty channel
+    /// whose senders are all gone reports the disconnect even while the last sender's
+    /// channel half is still being dropped.
+    fn take(&self, link: &Link, s: &mut VirtualState) -> Result<T, TryRecvError> {
+        match self.rx().try_recv() {
+            Ok(msg) => {
+                s.in_flight -= 1;
+                Ok(msg)
+            }
+            Err(TryRecvError::Empty) if link.senders.load(Ordering::Acquire) == 0 => {
+                Err(TryRecvError::Disconnected)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// Non-blocking receive.
     pub(crate) fn try_recv(&self) -> Result<T, TryRecvError> {
-        match self.clock.virtual_clock() {
+        match &self.link {
             None => self.rx().try_recv(),
-            Some(v) => {
-                let mut s = v.lock();
-                let got = self.rx().try_recv();
-                if got.is_ok() {
-                    s.in_flight -= 1;
-                }
-                got
-            }
+            Some(link) => self.take(link, &mut link.clock.lock()),
         }
     }
 
     /// Blocking receive with no deadline (used by server threads, which wait for work
     /// indefinitely). On a virtual clock the calling participant is counted as quiescent
-    /// while it waits but registers no wake-up: only a message can resume it.
+    /// while it waits but registers no wake-up: only a message (or the last sender's
+    /// drop) can resume it.
     pub(crate) fn recv(&self) -> Result<T, RecvError> {
-        match self.clock.virtual_clock() {
+        match &self.link {
             None => self.rx().recv(),
-            Some(v) => {
+            Some(link) => {
+                let v = &link.clock;
                 // This thread contributed `depth` busy increments to *this* clock; while it
                 // is parked here, all of them must be released or time could never advance.
                 let depth = thread_depth(v);
                 let mut s = v.lock();
                 loop {
-                    match self.rx().try_recv() {
-                        Ok(msg) => {
-                            s.in_flight -= 1;
-                            return Ok(msg);
-                        }
+                    match self.take(link, &mut s) {
+                        Ok(msg) => return Ok(msg),
                         Err(TryRecvError::Disconnected) => return Err(RecvError),
                         Err(TryRecvError::Empty) => {}
                     }
                     s.busy -= depth;
-                    v.advance_if_quiescent(&mut s);
-                    s = v.cond.wait(s).unwrap_or_else(|e| e.into_inner());
+                    s.advance_if_quiescent();
+                    s = park(s, &link.signal);
                     s.busy += depth;
                 }
             }
@@ -348,21 +421,19 @@ impl<T> ClockedReceiver<T> {
     /// clock the deadline is registered as a pending wake-up, so an unreachable quorum
     /// times out at the modeled instant without any wall-clock wait.
     pub(crate) fn recv_deadline_ns(&self, deadline_ns: u64) -> Result<T, RecvTimeoutError> {
-        match self.clock.virtual_clock() {
+        match &self.link {
             None => {
                 let timeout = Duration::from_nanos(deadline_ns.saturating_sub(self.clock.now_ns()))
                     .max(MIN_REAL_WAIT);
                 self.rx().recv_timeout(timeout)
             }
-            Some(v) => {
+            Some(link) => {
+                let v = &link.clock;
                 let depth = thread_depth(v);
                 let mut s = v.lock();
                 loop {
-                    match self.rx().try_recv() {
-                        Ok(msg) => {
-                            s.in_flight -= 1;
-                            return Ok(msg);
-                        }
+                    match self.take(link, &mut s) {
+                        Ok(msg) => return Ok(msg),
                         Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
                         Err(TryRecvError::Empty) => {}
                     }
@@ -370,15 +441,15 @@ impl<T> ClockedReceiver<T> {
                         return Err(RecvTimeoutError::Timeout);
                     }
                     s.busy -= depth;
-                    *s.sleepers.entry(deadline_ns).or_insert(0) += 1;
-                    v.advance_if_quiescent(&mut s);
+                    s.add_sleeper(deadline_ns, &link.signal);
+                    s.advance_if_quiescent();
                     // Re-check after the advance: it may have jumped to *our own*
                     // deadline, in which case its notification already fired and waiting
                     // would sleep forever.
                     if s.now_ns < deadline_ns {
-                        s = v.cond.wait(s).unwrap_or_else(|e| e.into_inner());
+                        s = park(s, &link.signal);
                     }
-                    s.remove_sleeper(deadline_ns);
+                    s.remove_sleeper(deadline_ns, &link.signal);
                     s.busy += depth;
                 }
             }
@@ -388,8 +459,8 @@ impl<T> ClockedReceiver<T> {
 
 impl<T> Drop for ClockedReceiver<T> {
     fn drop(&mut self) {
-        if let Some(v) = self.clock.virtual_clock().cloned() {
-            let mut s = v.lock();
+        if let Some(link) = &self.link {
+            let mut s = link.clock.lock();
             if let Some(rx) = self.rx.take() {
                 while rx.try_recv().is_ok() {
                     s.in_flight -= 1;
@@ -398,7 +469,7 @@ impl<T> Drop for ClockedReceiver<T> {
                 // before us (its message was just drained) or will observe the disconnect.
                 drop(rx);
             }
-            v.advance_if_quiescent(&mut s);
+            s.advance_if_quiescent();
         }
     }
 }
@@ -407,7 +478,6 @@ impl<T> Drop for ClockedReceiver<T> {
 #[derive(Default)]
 struct VirtualClock {
     state: Mutex<VirtualState>,
-    cond: Condvar,
 }
 
 #[derive(Default)]
@@ -419,37 +489,66 @@ struct VirtualState {
     busy: usize,
     /// Messages sent through a [`ClockedSender`] and not yet received.
     in_flight: usize,
-    /// Pending wake-up instants of blocked threads (deadline → waiter count).
-    sleepers: BTreeMap<u64, usize>,
+    /// Pending wake-up instants of blocked threads: deadline → the signal of each thread
+    /// waiting for it.
+    sleepers: BTreeMap<u64, Vec<Signal>>,
+    /// Returns from a signal wait, so tests can count the wake-ups a message costs.
+    #[cfg(test)]
+    wakes: usize,
 }
 
 impl VirtualState {
-    fn remove_sleeper(&mut self, deadline_ns: u64) {
-        if let Some(count) = self.sleepers.get_mut(&deadline_ns) {
-            *count -= 1;
-            if *count == 0 {
+    fn add_sleeper(&mut self, deadline_ns: u64, signal: &Signal) {
+        self.sleepers.entry(deadline_ns).or_default().push(signal.clone());
+    }
+
+    /// Removes `signal`'s entry under `deadline_ns` by identity: two waiters sharing a
+    /// deadline each remove their own.
+    fn remove_sleeper(&mut self, deadline_ns: u64, signal: &Signal) {
+        if let Some(waiters) = self.sleepers.get_mut(&deadline_ns) {
+            if let Some(i) = waiters.iter().position(|w| Arc::ptr_eq(w, signal)) {
+                waiters.swap_remove(i);
+            }
+            if waiters.is_empty() {
                 self.sleepers.remove(&deadline_ns);
             }
         }
     }
+
+    /// The advance rule: once no participant is running and no message is undelivered,
+    /// jump logical time to the earliest pending wake-up and notify only the waiters
+    /// filed under that instant. Their entries stay until they run, which pins time at
+    /// the instant until each woken waiter has re-checked.
+    fn advance_if_quiescent(&mut self) {
+        if self.busy == 0 && self.in_flight == 0 {
+            if let Some((&wake, waiters)) = self.sleepers.first_key_value() {
+                if wake > self.now_ns {
+                    self.now_ns = wake;
+                    for signal in waiters {
+                        signal.notify_one();
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Parks on `signal` until it is notified (or wakes spuriously); the caller re-checks
+/// its wake condition.
+fn park<'a>(s: MutexGuard<'a, VirtualState>, signal: &Condvar) -> MutexGuard<'a, VirtualState> {
+    let s = signal.wait(s).unwrap_or_else(|e| e.into_inner());
+    #[cfg(test)]
+    let s = {
+        let mut s = s;
+        s.wakes += 1;
+        s
+    };
+    s
 }
 
 impl VirtualClock {
     fn lock(&self) -> MutexGuard<'_, VirtualState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The advance rule: once no participant is running and no message is undelivered,
-    /// jump logical time to the earliest pending wake-up and wake everyone to re-check.
-    fn advance_if_quiescent(&self, s: &mut VirtualState) {
-        if s.busy == 0 && s.in_flight == 0 {
-            if let Some((&wake, _)) = s.sleepers.iter().next() {
-                if wake > s.now_ns {
-                    s.now_ns = wake;
-                    self.cond.notify_all();
-                }
-            }
-        }
     }
 
     fn sleep_until(&self, deadline_ns: u64) {
@@ -458,13 +557,14 @@ impl VirtualClock {
         if s.now_ns >= deadline_ns {
             return;
         }
+        let signal = Signal::default();
         s.busy -= depth;
-        *s.sleepers.entry(deadline_ns).or_insert(0) += 1;
-        self.advance_if_quiescent(&mut s);
+        s.add_sleeper(deadline_ns, &signal);
+        s.advance_if_quiescent();
         while s.now_ns < deadline_ns {
-            s = self.cond.wait(s).unwrap_or_else(|e| e.into_inner());
+            s = park(s, &signal);
         }
-        s.remove_sleeper(deadline_ns);
+        s.remove_sleeper(deadline_ns, &signal);
         s.busy += depth;
     }
 }
@@ -572,6 +672,109 @@ mod tests {
         a.sleep(Duration::from_millis(20));
         assert_eq!(a.now_ns(), 20_000_000);
         assert_eq!(b.now_ns(), 10_000_000);
+    }
+
+    /// Spins until every participant of `clock` is parked in a wait primitive.
+    fn wait_until_all_parked(clock: &Clock) {
+        let v = clock.virtual_clock().expect("virtual clock");
+        while v.lock().busy > 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    fn wakes(clock: &Clock) -> usize {
+        clock.virtual_clock().expect("virtual clock").lock().wakes
+    }
+
+    #[test]
+    fn dropping_the_last_sender_wakes_a_parked_receiver() {
+        let clock = Clock::virtual_time();
+        let (tx, rx) = clock.channel::<u32>();
+        let other_tx = tx.clone();
+        let receiver_clock = clock.clone();
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _guard = receiver_clock.enter();
+            ready_tx.send(()).unwrap();
+            done_tx.send(rx.recv()).unwrap();
+        });
+        ready_rx.recv().unwrap();
+        wait_until_all_parked(&clock);
+        drop(tx);
+        drop(other_tx);
+        // Nothing else will ever notify the receiver: the last drop must.
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("parked receiver woke on disconnect");
+        assert_eq!(got, Err(RecvError));
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_message_wakes_only_its_receiver() {
+        const IDLE: usize = 8;
+        const ROUNDS: usize = 200;
+        let clock = Clock::virtual_time();
+        // Idle participants parked in `recv`, like server threads with no work.
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let mut idle_senders = Vec::new();
+        let mut idle = Vec::new();
+        for _ in 0..IDLE {
+            let (tx, rx) = clock.channel::<()>();
+            let (c, ready) = (clock.clone(), ready_tx.clone());
+            idle.push(std::thread::spawn(move || {
+                let _guard = c.enter();
+                ready.send(()).unwrap();
+                rx.recv()
+            }));
+            idle_senders.push(tx);
+        }
+        for _ in 0..IDLE {
+            ready_rx.recv().unwrap();
+        }
+        wait_until_all_parked(&clock);
+
+        // Two participants bounce ROUNDS messages each way. The echo thread exits on the
+        // disconnect once the pinger is done.
+        let before = wakes(&clock);
+        let (to_echo, echo_rx) = clock.channel::<usize>();
+        let (to_ping, ping_rx) = clock.channel::<usize>();
+        let c = clock.clone();
+        let echo = std::thread::spawn(move || {
+            let _guard = c.enter();
+            while let Ok(i) = echo_rx.recv() {
+                to_ping.send(i).unwrap();
+            }
+        });
+        let c = clock.clone();
+        let ping = std::thread::spawn(move || {
+            let _guard = c.enter();
+            for i in 0..ROUNDS {
+                to_echo.send(i).unwrap();
+                assert_eq!(ping_rx.recv().unwrap(), i);
+            }
+        });
+        ping.join().unwrap();
+        echo.join().unwrap();
+        let messages = 2 * ROUNDS;
+        let ping_pong_wakes = wakes(&clock) - before;
+        // At most the receiver per message (plus the odd spurious wake-up). A broadcast
+        // to every parked thread fails this: it wakes up to IDLE + 1 threads per message.
+        assert!(
+            ping_pong_wakes <= 2 * messages,
+            "{ping_pong_wakes} wake-ups for {messages} messages"
+        );
+
+        // Control: the counter does see wake-ups. One message to each idle thread wakes it.
+        let before = wakes(&clock);
+        for tx in &idle_senders {
+            tx.send(()).unwrap();
+        }
+        for handle in idle {
+            handle.join().unwrap().unwrap();
+        }
+        assert!(wakes(&clock) - before >= IDLE, "each parked idle thread woke once");
     }
 
     #[test]

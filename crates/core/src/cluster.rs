@@ -121,11 +121,6 @@ impl ClusterInner {
         &self.options.clock
     }
 
-    /// Nanoseconds since the clock's epoch (used as linearizability-check timestamps).
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.clock().now_ns()
-    }
-
     /// One-way + return delay the client should wait before consuming a reply from `from`.
     pub(crate) fn reply_delay(&self, client: DcId, from: DcId, reply_bytes: u64) -> Duration {
         let ms = self.model.rtt_ms(client, from)
